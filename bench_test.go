@@ -379,25 +379,25 @@ func BenchmarkDNSPackUnpack(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectorSweep measures the §4.1 nameserver sweep alone.
+// BenchmarkCollectorSweep measures the §4.1 collection alone: a collect-only
+// pipeline — the sweep a fleet worker runs — covering the correct-record
+// sweep and the fused canary + UR nameserver sweep, with no classification.
 func BenchmarkCollectorSweep(b *testing.B) {
 	env := benchSetup(b)
 	cfg := env.World.URHunterConfig()
+	cfg.CollectOnly = true
 	b.ResetTimer()
-	var urs []*core.UR
-	var queries int64
+	var res *core.Result
 	for i := 0; i < b.N; i++ {
-		col := core.NewCollector(cfg)
 		var err error
-		urs, err = col.CollectURs(context.Background())
+		res, err = core.NewPipeline(cfg).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		queries = col.Queries()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(len(urs)), "urs")
-	b.ReportMetric(float64(queries)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
+	b.ReportMetric(float64(len(res.URs)), "urs")
+	b.ReportMetric(float64(res.Queries)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 }
 
 // BenchmarkFabricExchangeParallel drives raw packed queries through the

@@ -292,28 +292,20 @@ func main() {
 	// overlapped pipeline parallelized: one collected, enriched UR set,
 	// re-classified per iteration after a field reset (the reset is a linear
 	// walk, negligible against the lookups being measured).
-	detSetup := func(b *testing.B) (*core.Config, *core.Determiner, []*core.UR) {
-		cfg := env.World.URHunterConfig()
-		col := core.NewCollector(cfg)
-		correct, err := col.CollectCorrect(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		protective, err := col.CollectProtective(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		urs, err := col.CollectURs(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return cfg, core.NewDeterminer(cfg, correct, protective), urs
-	}
 	resetURs := func(urs []*core.UR) {
 		for _, u := range urs {
 			u.Category, u.Reason = core.CategoryUnknown, core.ReasonNone
 			u.MaliciousByIntel, u.MaliciousByIDS = false, false
 		}
+	}
+	detSetup := func(b *testing.B) (*core.Config, *core.Determiner, []*core.UR) {
+		cfg := env.World.URHunterConfig()
+		res, err := core.NewPipeline(cfg).Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		resetURs(res.URs)
+		return cfg, core.NewDeterminer(cfg, res.Correct, res.Protective), res.URs
 	}
 	run("DetermineParallel", func(b *testing.B) {
 		_, det, urs := detSetup(b)
@@ -524,13 +516,14 @@ func main() {
 	})
 	run("CollectorSweep", func(b *testing.B) {
 		cfg := env.World.URHunterConfig()
+		cfg.CollectOnly = true
 		var queries int64
 		for i := 0; i < b.N; i++ {
-			col := core.NewCollector(cfg)
-			if _, err := col.CollectURs(context.Background()); err != nil {
+			res, err := core.NewPipeline(cfg).Run(context.Background())
+			if err != nil {
 				b.Fatal(err)
 			}
-			queries = col.Queries()
+			queries = res.Queries
 		}
 		b.ReportMetric(float64(queries)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 	})

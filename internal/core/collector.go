@@ -295,11 +295,12 @@ func NewCollector(cfg *Config) *Collector {
 	}
 	// The watchdog only matters over transports that can block a worker;
 	// the fabric is synchronous, so by default it stays off there (Force
-	// overrides, for tests). The overlapped pipeline runs the correct sweep
-	// ([0, P) slots) concurrently with the fused nameserver sweep ([P, 2P)),
-	// and each has its own re-queue spare (2P and 2P+1), hence 2P+2 slots.
+	// overrides, for tests). Pipeline.Run's two sweeps run concurrently and
+	// never share a slot: the correct sweep's workers hold [0, P) and its
+	// re-queue pass 2P, the fused nameserver sweep's workers [P, 2P) and its
+	// re-queue pass 2P+1 — 2P+2 slots in all.
 	if !dnsio.IsInstant(transport) || (cfg.Watchdog != nil && cfg.Watchdog.Force) {
-		c.wd = newWatchdog(2*cfg.parallelism()+1, c.probeBudget(), cfg.Watchdog)
+		c.wd = newWatchdog(2*cfg.parallelism()+2, c.probeBudget(), cfg.Watchdog)
 	}
 	return c
 }
@@ -442,15 +443,11 @@ func (c *Collector) replaySweep(kind sweepKind, onAnswer func(ns NameserverInfo,
 // ignores even cancellation is abandoned after a grace period so the worker
 // keeps the sweep moving either way.
 //
-// When the sweep is journaled (seg non-nil) the answered response's wire
-// bytes are returned alongside the decoded message so the caller can journal
-// exactly what the server sent without re-packing it.
-func (c *Collector) probeQuery(ctx context.Context, slot *stallSlot, seg *segmentWriter, server netip.AddrPort, name dns.Name, qt dns.Type) (*dns.Message, []byte, dnsio.FailClass, error) {
+// The answered response's wire bytes come back alongside the decoded
+// message, so a journaled sweep records exactly what the server sent
+// without re-packing it; they are valid only until the next probe.
+func (c *Collector) probeQuery(ctx context.Context, slot *stallSlot, server netip.AddrPort, name dns.Name, qt dns.Type) (*dns.Message, []byte, dnsio.FailClass, error) {
 	if c.wd == nil || slot == nil {
-		if seg == nil {
-			resp, err := c.client.Query(ctx, server, name, qt)
-			return resp, nil, dnsio.Classify(err), err
-		}
 		resp, wire, err := c.client.QueryWire(ctx, server, name, qt)
 		return resp, wire, dnsio.Classify(err), err
 	}
@@ -463,11 +460,6 @@ func (c *Collector) probeQuery(ctx context.Context, slot *stallSlot, seg *segmen
 	}
 	ch := make(chan qres, 1)
 	go func() {
-		if seg == nil {
-			resp, err := c.client.Query(pctx, server, name, qt)
-			ch <- qres{resp, nil, err}
-			return
-		}
 		resp, wire, err := c.client.QueryWire(pctx, server, name, qt)
 		ch <- qres{resp, wire, err}
 	}()
@@ -540,121 +532,142 @@ func (c *Collector) PoliteScanEstimate() time.Duration {
 	return time.Duration(max) * c.cfg.politeInterval()
 }
 
-// feed queues jobs until the list is exhausted, the context is cancelled,
-// or a worker flags a fatal error. Selecting on ctx.Done() keeps
-// cancellation prompt: the producer must stop feeding, not queue every
-// remaining server at a drained pool.
-func feed[T any](ctx context.Context, jobs chan<- T, stop *atomic.Bool, items []T) {
-	defer close(jobs)
-	done := ctx.Done()
-	for _, item := range items {
-		if stop.Load() {
-			return
-		}
-		select {
-		case jobs <- item:
-		case <-done:
-			return
-		}
-	}
-}
-
-// CollectURs sweeps every (nameserver, target, type) triple, skipping pairs
-// where the target is exactly delegated to the nameserver, and returns the
-// undelegated records extracted from NOERROR responses.
-//
-// Workers accumulate into private slices and merge once when the job channel
-// drains; journal-replayed records land in the same merge set before the
-// workers start. The merged set is then put into a canonical order, so the
-// output is byte-identical at any Parallelism setting — resumed or not.
-func (c *Collector) CollectURs(ctx context.Context) ([]*UR, error) {
-	var out []*UR
-	c.replaySweep(sweepURs, func(ns NameserverInfo, domain dns.Name, qt dns.Type, resp *dns.Message) {
-		out = c.ursFromResponse(ns, domain, qt, resp, out)
-	})
-	c.wd.start()
-	defer c.wd.stop()
-
+// sweepServers is the sweep engine's one worker pool: it runs job once per
+// server unit on Parallelism workers, worker w holding watchdog slot
+// slotBase+w and one journal segment for its whole life. Each job's tallies
+// are booked when it returns, error or not. Units the SkipServer hook drops
+// are never dispatched; ServerDone hears of every unit whose job returned
+// nil. The first job (or segment) error stops the feed and is returned once
+// the workers have drained the queue; so is a cancellation that lands
+// between jobs, which starves the pool without any worker seeing it.
+func (c *Collector) sweepServers(ctx context.Context, units []NameserverInfo, slotBase int, job func(j *serverJob) error) error {
 	jobs := make(chan NameserverInfo)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
 	var stop atomic.Bool
 
-	workers := c.cfg.parallelism()
-	for w := 0; w < workers; w++ {
+	for w := 0; w < c.cfg.parallelism(); w++ {
 		wg.Add(1)
 		go func(slot *stallSlot) {
 			defer wg.Done()
-			var local []*UR
-			seg, localErr := c.newSegment()
+			seg, err := c.newSegment()
 			if seg != nil {
 				defer c.releaseSegment(seg)
 			}
-			if localErr != nil {
+			if err != nil {
 				stop.Store(true)
 			}
 			for ns := range jobs {
-				if localErr != nil {
+				if err != nil {
 					continue // keep draining so the feeder never blocks
 				}
 				if skip := c.cfg.SkipServer; skip != nil && skip(ns.Addr) {
 					continue
 				}
-				urs, err := c.collectFromNS(ctx, ns, seg, slot)
-				local = append(local, urs...)
+				j := &serverJob{c: c, ns: ns, server: netip.AddrPortFrom(ns.Addr, dnsio.DNSPort), seg: seg, slot: slot}
+				err = job(j)
+				j.book()
 				if err != nil {
-					localErr = err
 					stop.Store(true)
 				} else if done := c.cfg.ServerDone; done != nil {
 					done(ns.Addr)
 				}
 			}
-			mu.Lock()
-			out = append(out, local...)
-			if localErr != nil && firstErr == nil {
-				firstErr = localErr
+			if err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
 			}
-			mu.Unlock()
-		}(c.wd.slot(w))
+		}(c.wd.slot(slotBase + w))
 	}
-	feed(ctx, jobs, &stop, c.cfg.Nameservers)
+
+	// Feed until the list is exhausted, the context is cancelled, or a
+	// worker flags a fatal error. Selecting on ctx.Done() keeps cancellation
+	// prompt: the feeder must stop, not queue every remaining server at a
+	// drained pool.
+	done := ctx.Done()
+feed:
+	for _, ns := range units {
+		if stop.Load() {
+			break
+		}
+		select {
+		case jobs <- ns:
+		case <-done:
+			break feed
+		}
+	}
+	close(jobs)
 	wg.Wait()
 	if firstErr == nil {
-		// A cancellation that lands between jobs starves the pool without any
-		// worker seeing an error; the sweep is still incomplete.
 		firstErr = ctx.Err()
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// End-of-sweep re-queue: probes that failed while a server was flapping,
-	// lossy, or breaker-blocked get one more chance now that the sweep
-	// pressure is off and breakers may have recovered.
-	err := c.requeue(ctx, sweepURs, func(f probeFailure, resp *dns.Message) {
-		out = c.ursFromResponse(f.ns, f.domain, f.qtype, resp, out)
-	})
-	if err != nil {
+	return firstErr
+}
+
+// serverJob is one server unit's sweep job: the worker's journal segment
+// and watchdog slot, plus the probe tallies and failure records booked once
+// when the job ends.
+type serverJob struct {
+	c      *Collector
+	ns     NameserverInfo
+	server netip.AddrPort
+	seg    *segmentWriter
+	slot   *stallSlot
+
+	issued, attempted, answered, recovered int64
+	fails                                  []probeFailure
+}
+
+// book files the job's tallies and failure records with the collector.
+func (j *serverJob) book() {
+	j.c.addQueries(j.ns.Addr, j.issued)
+	j.c.bookSweep(j.ns.Addr, j.attempted, j.answered, j.recovered, j.fails)
+}
+
+// probe is the sweep's one first-pass probe step. A probe the journal
+// already holds is skipped; otherwise it is issued and tallied, and a
+// failure is filed for the re-queue pass while an answer is returned for
+// the caller to fold. Either outcome is journaled. resp is nil when there is
+// nothing to fold; err is non-nil only when the sweep must stop (the
+// context ended or a journal write failed).
+func (j *serverJob) probe(ctx context.Context, kind sweepKind, domain dns.Name, qt dns.Type) (*dns.Message, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sortURs(out)
-	c.enrich(out)
-	return out, nil
+	c, addr := j.c, j.ns.Addr
+	if c.replayed(kind, addr, domain, qt) {
+		return nil, nil
+	}
+	j.issued++
+	j.attempted++
+	resp, wire, class, err := c.probeQuery(ctx, j.slot, j.server, domain, qt)
+	if err != nil {
+		j.fails = append(j.fails, probeFailure{ns: j.ns, domain: domain, qtype: qt, class: class, sweep: kind})
+		if j.seg != nil {
+			return nil, j.seg.failure(kind, addr, domain, qt, class)
+		}
+		return nil, nil
+	}
+	j.answered++
+	if j.seg != nil {
+		if err := j.seg.answered(kind, addr, domain, qt, wire); err != nil {
+			return nil, err
+		}
+	}
+	return resp, nil
 }
 
-// requeue re-runs one sweep's failed probes after the main pass, in canonical
-// order so the extra query plan is deterministic. It runs on the caller
-// goroutine with the standalone sweeps' spare watchdog slot (index 2P).
-func (c *Collector) requeue(ctx context.Context, kind sweepKind, onAnswer func(f probeFailure, resp *dns.Message)) error {
-	return c.requeueOn(ctx, kind, c.wd.slot(2*c.cfg.parallelism()), onAnswer)
-}
-
-// requeueOn is requeue with an explicit watchdog slot, so the overlapped
-// pipeline's two concurrent re-queue tails (correct sweep, fused nameserver
-// sweep) never share a stall slot. Recovered probes are booked and handed to
-// onAnswer; probes that fail again are refiled with their new failure class
+// requeue re-runs one sweep's failed probes after the main pass, in
+// canonical order so the extra query plan is deterministic, on the caller
+// goroutine under the given watchdog spare slot (each concurrently running
+// sweep has its own). Recovered probes are booked and handed to onAnswer;
+// probes that fail again are refiled with their new failure class
 // (still-open breakers fail fast without touching the fabric).
-func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, slot *stallSlot, onAnswer func(f probeFailure, resp *dns.Message)) error {
+func (c *Collector) requeue(ctx context.Context, kind sweepKind, slot *stallSlot, onAnswer func(f probeFailure, resp *dns.Message)) error {
 	fails := c.drainFailures(kind)
 	if len(fails) == 0 {
 		return nil
@@ -692,7 +705,7 @@ func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, slot *stallSl
 		}
 		issued++
 		server := netip.AddrPortFrom(f.ns.Addr, dnsio.DNSPort)
-		resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, f.domain, f.qtype)
+		resp, wire, class, err := c.probeQuery(ctx, slot, server, f.domain, f.qtype)
 		if err != nil {
 			f.class = class
 			c.refile(f)
@@ -740,59 +753,6 @@ func sortURs(urs []*UR) {
 		}
 		return a.TTL < b.TTL
 	})
-}
-
-// collectFromNS queries one nameserver for every target and type. Every
-// failed probe lands in the failure book for the re-queue pass instead of
-// being silently skipped.
-func (c *Collector) collectFromNS(ctx context.Context, ns NameserverInfo, seg *segmentWriter, slot *stallSlot) ([]*UR, error) {
-	var out []*UR
-	server := netip.AddrPortFrom(ns.Addr, dnsio.DNSPort)
-	var issued, attempted, answered int64
-	var fails []probeFailure
-	defer func() {
-		c.addQueries(ns.Addr, issued)
-		c.bookSweep(ns.Addr, attempted, answered, 0, fails)
-	}()
-	// Ethics appendix: queries are issued in randomized order, never
-	// walking the target list top-down against any single server.
-	order := c.shuffledTargets(ns.Addr)
-	for _, target := range order {
-		if c.isExactlyDelegated(target, ns) {
-			continue
-		}
-		for _, qt := range c.cfg.queryTypes() {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-			if c.replayed(sweepURs, ns.Addr, target, qt) {
-				continue
-			}
-			issued++
-			attempted++
-			resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, target, qt)
-			if err != nil {
-				fails = append(fails, probeFailure{
-					ns: ns, domain: target, qtype: qt,
-					class: class, sweep: sweepURs,
-				})
-				if seg != nil {
-					if jerr := seg.failure(sweepURs, ns.Addr, target, qt, class); jerr != nil {
-						return out, jerr
-					}
-				}
-				continue
-			}
-			answered++
-			if seg != nil {
-				if jerr := seg.answered(sweepURs, ns.Addr, target, qt, wire); jerr != nil {
-					return out, jerr
-				}
-			}
-			out = c.ursFromResponse(ns, target, qt, resp, out)
-		}
-	}
-	return out, nil
 }
 
 // ursFromResponse extracts this probe's undelegated records from a NOERROR
@@ -872,16 +832,6 @@ func (c *Collector) isExactlyDelegated(target dns.Name, ns NameserverInfo) bool 
 	return c.deleg[target][ns.Host]
 }
 
-// enrich attaches AS/geo/cert/HTTP data to every A-record UR and the
-// corresponding IPs to both A and TXT records (TXT correspondence with
-// same-NS same-domain A records happens in the analyzer, which sees the full
-// set).
-func (c *Collector) enrich(urs []*UR) {
-	for _, u := range urs {
-		c.enrichOne(u)
-	}
-}
-
 // enrichOne enriches a single record; the overlapped pipeline's determine
 // workers call it per streamed record so enrichment overlaps the sweep tail.
 // Safe concurrently: IPDB lookups are read-only and the web probe cache is a
@@ -931,10 +881,12 @@ func (c *Collector) probe(addr netip.Addr) websim.ProbeResult {
 	return e.res
 }
 
-// CollectCorrect builds the legitimate-record database by querying the open
+// collectCorrect builds the legitimate-record database by querying the open
 // resolvers for every target's A and TXT records and folding in enrichment —
-// the geo-distributed correct-record collection of §4.1(2).
-func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
+// the geo-distributed correct-record collection of §4.1(2). It runs
+// concurrently with the fused nameserver sweep, so its workers take watchdog
+// slots [0, P) and its re-queue pass the spare slot 2P.
+func (c *Collector) collectCorrect(ctx context.Context) (*CorrectDB, error) {
 	db := NewCorrectDB()
 	c.replaySweep(sweepCorrect, func(_ NameserverInfo, domain dns.Name, _ dns.Type, resp *dns.Message) {
 		c.addCorrectAnswers(db, domain, resp)
@@ -942,56 +894,17 @@ func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
 	c.wd.start()
 	defer c.wd.stop()
 
-	jobs := make(chan netip.Addr)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	var stop atomic.Bool
-
-	workers := c.cfg.parallelism()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(slot *stallSlot) {
-			defer wg.Done()
-			seg, localErr := c.newSegment()
-			if seg != nil {
-				defer c.releaseSegment(seg)
-			}
-			if localErr != nil {
-				stop.Store(true)
-			}
-			for resolver := range jobs {
-				if localErr != nil {
-					continue // keep draining so the feeder never blocks
-				}
-				if skip := c.cfg.SkipServer; skip != nil && skip(resolver) {
-					continue
-				}
-				if err := c.collectCorrectVia(ctx, db, resolver, seg, slot); err != nil {
-					localErr = err
-					stop.Store(true)
-				} else if done := c.cfg.ServerDone; done != nil {
-					done(resolver)
-				}
-			}
-			if localErr != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = localErr
-				}
-				mu.Unlock()
-			}
-		}(c.wd.slot(w))
+	resolvers := make([]NameserverInfo, len(c.cfg.OpenResolvers))
+	for i, addr := range c.cfg.OpenResolvers {
+		resolvers[i] = NameserverInfo{Addr: addr}
 	}
-	feed(ctx, jobs, &stop, c.cfg.OpenResolvers)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
+	err := c.sweepServers(ctx, resolvers, 0, func(j *serverJob) error {
+		return c.collectCorrectVia(ctx, db, j)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	err := c.requeue(ctx, sweepCorrect, func(f probeFailure, resp *dns.Message) {
+	err = c.requeue(ctx, sweepCorrect, c.wd.slot(2*c.cfg.parallelism()), func(f probeFailure, resp *dns.Message) {
 		c.addCorrectAnswers(db, f.domain, resp)
 	})
 	if err != nil {
@@ -1000,45 +913,16 @@ func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
 	return db, nil
 }
 
-func (c *Collector) collectCorrectVia(ctx context.Context, db *CorrectDB, resolver netip.Addr, seg *segmentWriter, slot *stallSlot) error {
-	server := netip.AddrPortFrom(resolver, dnsio.DNSPort)
-	ns := NameserverInfo{Addr: resolver}
-	var issued, attempted, answered int64
-	var fails []probeFailure
-	defer func() {
-		c.addQueries(resolver, issued)
-		c.bookSweep(resolver, attempted, answered, 0, fails)
-	}()
-	for _, target := range c.shuffledTargets(resolver) {
+func (c *Collector) collectCorrectVia(ctx context.Context, db *CorrectDB, j *serverJob) error {
+	for _, target := range c.shuffledTargets(j.ns.Addr) {
 		for _, qt := range c.cfg.queryTypes() {
-			if err := ctx.Err(); err != nil {
+			resp, err := j.probe(ctx, sweepCorrect, target, qt)
+			if err != nil {
 				return err
 			}
-			if c.replayed(sweepCorrect, resolver, target, qt) {
-				continue
+			if resp != nil {
+				c.addCorrectAnswers(db, target, resp)
 			}
-			issued++
-			attempted++
-			resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, target, qt)
-			if err != nil {
-				fails = append(fails, probeFailure{
-					ns: ns, domain: target, qtype: qt,
-					class: class, sweep: sweepCorrect,
-				})
-				if seg != nil {
-					if jerr := seg.failure(sweepCorrect, resolver, target, qt, class); jerr != nil {
-						return jerr
-					}
-				}
-				continue
-			}
-			answered++
-			if seg != nil {
-				if jerr := seg.answered(sweepCorrect, resolver, target, qt, wire); jerr != nil {
-					return jerr
-				}
-			}
-			c.addCorrectAnswers(db, target, resp)
 		}
 	}
 	return nil
@@ -1079,119 +963,6 @@ func (c *Collector) addCorrectAnswers(db *CorrectDB, target dns.Name, resp *dns.
 // so repeated collections issue identical query plans.
 func (c *Config) CanaryName() dns.Name {
 	return dns.Name(fmt.Sprintf("urhunter-canary-%d.test", uint64(c.Seed)%1_000_000))
-}
-
-// CollectProtective queries every nameserver for a canary domain no one
-// hosts and records the answers as that server's protective records
-// (§4.1(3)). Nameservers are swept by the same worker pool as CollectURs;
-// ProtectiveDB is internally locked and deduplicating, so concurrent adds
-// land in a deterministic final state.
-func (c *Collector) CollectProtective(ctx context.Context) (*ProtectiveDB, error) {
-	db := NewProtectiveDB()
-	canary := c.cfg.CanaryName()
-	c.replaySweep(sweepProtective, func(ns NameserverInfo, _ dns.Name, qt dns.Type, resp *dns.Message) {
-		addProtectiveAnswers(db, ns.Addr, qt, resp)
-	})
-	c.wd.start()
-	defer c.wd.stop()
-
-	jobs := make(chan NameserverInfo)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	var stop atomic.Bool
-
-	workers := c.cfg.parallelism()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(slot *stallSlot) {
-			defer wg.Done()
-			seg, localErr := c.newSegment()
-			if seg != nil {
-				defer c.releaseSegment(seg)
-			}
-			if localErr != nil {
-				stop.Store(true)
-			}
-			for ns := range jobs {
-				if localErr != nil {
-					continue // keep draining so the feeder never blocks
-				}
-				if skip := c.cfg.SkipServer; skip != nil && skip(ns.Addr) {
-					continue
-				}
-				if err := c.collectProtectiveFrom(ctx, db, ns, canary, seg, slot); err != nil {
-					localErr = err
-					stop.Store(true)
-				} else if done := c.cfg.ServerDone; done != nil {
-					done(ns.Addr)
-				}
-			}
-			if localErr != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = localErr
-				}
-				mu.Unlock()
-			}
-		}(c.wd.slot(w))
-	}
-	feed(ctx, jobs, &stop, c.cfg.Nameservers)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	err := c.requeue(ctx, sweepProtective, func(f probeFailure, resp *dns.Message) {
-		addProtectiveAnswers(db, f.ns.Addr, f.qtype, resp)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-func (c *Collector) collectProtectiveFrom(ctx context.Context, db *ProtectiveDB, ns NameserverInfo, canary dns.Name, seg *segmentWriter, slot *stallSlot) error {
-	server := netip.AddrPortFrom(ns.Addr, dnsio.DNSPort)
-	var issued, attempted, answered int64
-	var fails []probeFailure
-	defer func() {
-		c.addQueries(ns.Addr, issued)
-		c.bookSweep(ns.Addr, attempted, answered, 0, fails)
-	}()
-	for _, qt := range c.cfg.queryTypes() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if c.replayed(sweepProtective, ns.Addr, canary, qt) {
-			continue
-		}
-		issued++
-		attempted++
-		resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, canary, qt)
-		if err != nil {
-			fails = append(fails, probeFailure{
-				ns: ns, domain: canary, qtype: qt,
-				class: class, sweep: sweepProtective,
-			})
-			if seg != nil {
-				if jerr := seg.failure(sweepProtective, ns.Addr, canary, qt, class); jerr != nil {
-					return jerr
-				}
-			}
-			continue
-		}
-		answered++
-		if seg != nil {
-			if jerr := seg.answered(sweepProtective, ns.Addr, canary, qt, wire); jerr != nil {
-				return jerr
-			}
-		}
-		addProtectiveAnswers(db, ns.Addr, qt, resp)
-	}
-	return nil
 }
 
 // addProtectiveAnswers folds one canary response into the protective-record

@@ -123,13 +123,16 @@ func newCollectorFixture(t *testing.T) *collectorFixture {
 	return fx
 }
 
-func TestCollectURs(t *testing.T) {
+// TestPipelineCollectsURs checks the §4.1 UR collection on the fixture:
+// the attacker's A and TXT records from the hoster, the protector's answer
+// for every target, and the enrichment each record carries.
+func TestPipelineCollectsURs(t *testing.T) {
 	fx := newCollectorFixture(t)
-	col := NewCollector(fx.cfg)
-	urs, err := col.CollectURs(context.Background())
+	res, err := NewPipeline(fx.cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	urs := res.URs
 	// UR NS: A + TXT for site.com. Protective NS: A for both targets.
 	var fromUR, fromProt int
 	for _, u := range urs {
@@ -168,12 +171,12 @@ func TestCollectURs(t *testing.T) {
 			}
 		}
 	}
-	if col.Queries() == 0 {
+	if res.Queries == 0 {
 		t.Error("query counter not incremented")
 	}
 }
 
-func TestCollectURsSkipsExactDelegation(t *testing.T) {
+func TestPipelineSkipsExactDelegation(t *testing.T) {
 	fx := newCollectorFixture(t)
 	fx.cfg.DelegatedNS = func(d dns.Name) []dns.Name {
 		if d == "site.com" {
@@ -181,12 +184,11 @@ func TestCollectURsSkipsExactDelegation(t *testing.T) {
 		}
 		return nil
 	}
-	col := NewCollector(fx.cfg)
-	urs, err := col.CollectURs(context.Background())
+	res, err := NewPipeline(fx.cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range urs {
+	for _, u := range res.URs {
 		if u.Server.Provider == "Hoster" && u.Domain == "site.com" {
 			t.Errorf("exactly-delegated pair collected: %+v", u)
 		}
@@ -196,7 +198,7 @@ func TestCollectURsSkipsExactDelegation(t *testing.T) {
 func TestCollectCorrect(t *testing.T) {
 	fx := newCollectorFixture(t)
 	col := NewCollector(fx.cfg)
-	db, err := col.CollectCorrect(context.Background())
+	db, err := col.collectCorrect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +223,13 @@ func TestCollectCorrect(t *testing.T) {
 	}
 }
 
-func TestCollectProtective(t *testing.T) {
+func TestPipelineCollectsProtective(t *testing.T) {
 	fx := newCollectorFixture(t)
-	col := NewCollector(fx.cfg)
-	db, err := col.CollectProtective(context.Background())
+	res, err := NewPipeline(fx.cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	db := res.Protective
 	if !db.Match(fx.protNS.Addr, dns.TypeA, fx.protAddr.String()) {
 		t.Error("protective record not captured")
 	}
@@ -301,11 +303,11 @@ func TestLabelReasonsTotal(t *testing.T) {
 	}
 }
 
-// TestCollectURsDeterministicAcrossParallelism asserts the §4.1 sweep output
-// is byte-identical no matter how many workers ran it: the merged set is put
-// into canonical order before enrichment, so worker scheduling cannot leak
-// into results.
-func TestCollectURsDeterministicAcrossParallelism(t *testing.T) {
+// TestPipelineURsDeterministicAcrossParallelism asserts the §4.1 sweep
+// output is byte-identical no matter how many workers ran it: the merged set
+// is put into canonical order, so worker scheduling cannot leak into the
+// records or their enrichment.
+func TestPipelineURsDeterministicAcrossParallelism(t *testing.T) {
 	render := func(urs []*UR) string {
 		var sb strings.Builder
 		for _, u := range urs {
@@ -319,11 +321,11 @@ func TestCollectURsDeterministicAcrossParallelism(t *testing.T) {
 	for i, p := range []int{1, 4, 16} {
 		fx := newCollectorFixture(t)
 		fx.cfg.Parallelism = p
-		urs, err := NewCollector(fx.cfg).CollectURs(context.Background())
+		res, err := NewPipeline(fx.cfg).Run(context.Background())
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
 		}
-		got := render(urs)
+		got := render(res.URs)
 		if i == 0 {
 			want = got
 			continue

@@ -101,7 +101,7 @@ func (p *Pipeline) partial() *Result {
 // Run executes collection, determination, and analysis as an overlapped
 // dataflow rather than five sequential barriers:
 //
-//	CollectCorrect ─────────┐ (gate: correct DB ready)
+//	correct sweep ──────────┐ (gate: correct DB ready)
 //	                        ├─→ determine workers ──→ merge ─→ sort ─→ analyze
 //	fused NS sweep ── URs ──┘ (per-server batches)
 //	NewAnalyzer (IDS corpus) ───────────────────────────────────┘
@@ -111,9 +111,8 @@ func (p *Pipeline) partial() *Result {
 // into a pool of classification workers the moment the server's fused job
 // finishes; the workers block only on the correct DB, so classification
 // overlaps the sweep tail. Results land in per-worker slices and are merged
-// through the same canonical sort the serial pipeline used, so reports are
-// byte-identical at any Parallelism/DetermineWorkers setting — resumed or
-// not.
+// through one canonical sort (sortURs), so reports are byte-identical at any
+// Parallelism/DetermineWorkers setting — resumed or not.
 //
 // On error — including context cancellation mid-sweep — the returned Result
 // is non-nil and carries the partial query/coverage books accumulated before
@@ -157,7 +156,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	sweeps.Add(2)
 	go func() {
 		defer sweeps.Done()
-		db, err := p.collector.CollectCorrect(ctx)
+		db, err := p.collector.collectCorrect(ctx)
 		st.Correct = time.Since(t0)
 		correct, correctErr = db, err
 		// det.correct must be visible before the gate opens; the channel

@@ -16,18 +16,18 @@ import (
 func TestCollectorUnderPacketLoss(t *testing.T) {
 	fx := newCollectorFixture(t)
 
-	baseline, err := NewCollector(fx.cfg).CollectURs(context.Background())
+	baseline, err := NewPipeline(fx.cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	fx.cfg.Fabric.SetLossRate(0.15)
-	lossy, err := NewCollector(fx.cfg).CollectURs(context.Background())
+	lossy, err := NewPipeline(fx.cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lossy) < len(baseline)-1 {
-		t.Errorf("lossy sweep collected %d URs, baseline %d", len(lossy), len(baseline))
+	if len(lossy.URs) < len(baseline.URs)-1 {
+		t.Errorf("lossy sweep collected %d URs, baseline %d", len(lossy.URs), len(baseline.URs))
 	}
 	if fx.cfg.Fabric.Drops() == 0 {
 		t.Error("loss injection did not drop anything")
@@ -181,25 +181,23 @@ func TestEthicsAccounting(t *testing.T) {
 		t.Error("shuffle lost targets")
 	}
 
-	if _, err := col.CollectURs(context.Background()); err != nil {
+	pipe := NewPipeline(fx.cfg)
+	if _, err := pipe.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	est := col.PoliteScanEstimate()
-	// Each NS answered 2 targets x 2 types = up to 4 queries; at the default
-	// 130s interval the polite estimate must be a positive multiple of it.
-	if est <= 0 || est > 10*time.Minute {
-		t.Errorf("polite estimate = %v", est)
-	}
-	if est%fx.cfg.politeInterval() != 0 {
-		t.Errorf("estimate %v not a multiple of the interval", est)
+	est := pipe.Collector().PoliteScanEstimate()
+	// The busiest server is a nameserver: 2 canary probes plus 2 targets x
+	// 2 types, 6 queries at the default 130s interval.
+	if want := 6 * 130 * time.Second; est != want {
+		t.Errorf("polite estimate = %v, want %v", est, want)
 	}
 	// A custom interval is honoured.
 	fx.cfg.PoliteInterval = time.Second
-	col2 := NewCollector(fx.cfg)
-	if _, err := col2.CollectURs(context.Background()); err != nil {
+	pipe2 := NewPipeline(fx.cfg)
+	if _, err := pipe2.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if col2.PoliteScanEstimate() >= est {
+	if pipe2.Collector().PoliteScanEstimate() >= est {
 		t.Error("shorter interval did not shrink the estimate")
 	}
 }

@@ -1,7 +1,9 @@
 // Streaming stage plumbing for the overlapped pipeline: the fused
 // nameserver-facing sweep that emits per-server UR batches as they finalize,
 // and the error selection that keeps a root cause visible when one stage's
-// failure cancels its siblings.
+// failure cancels its siblings. The fused sweep and the correct-record sweep
+// are the only two sweeps; both run on the collector's one worker pool
+// (sweepServers) and one first-pass probe step (serverJob.probe).
 //
 // Determinism note. Chaos fault draws are pure hashes of (fabric seed,
 // endpoint, per-endpoint exchange sequence), so a run is reproducible exactly
@@ -18,12 +20,8 @@ package core
 import (
 	"context"
 	"errors"
-	"net/netip"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dns"
-	"repro/internal/dnsio"
 )
 
 // streamBacklog bounds the UR batch channel between the fused sweep and the
@@ -59,9 +57,9 @@ func pickErr(errs ...error) error {
 // determine stage can classify a batch as soon as the correct database is
 // ready, without waiting for the rest of the sweep.
 //
-// Probes are booked and journaled under their original sweep kinds
-// (sweepProtective / sweepURs), so coverage accounting, the failure book,
-// and journal resume are indistinguishable from the serial sweeps'.
+// Probes are booked and journaled under two sweep kinds (sweepProtective /
+// sweepURs), so coverage accounting, the failure book, and journal resume
+// keep the canary and UR probes apart.
 func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, emit func([]*UR)) error {
 	canary := c.cfg.CanaryName()
 	c.replaySweep(sweepProtective, func(ns NameserverInfo, _ dns.Name, qt dns.Type, resp *dns.Message) {
@@ -76,67 +74,25 @@ func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, em
 	c.wd.start()
 	defer c.wd.stop()
 
-	jobs := make(chan NameserverInfo)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	var stop atomic.Bool
-
+	// The fused pool gets the watchdog slot range [P, 2P), leaving [0, P)
+	// to the concurrently running correct sweep.
 	workers := c.cfg.parallelism()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		// The fused pool gets the watchdog slot range [workers, 2*workers),
-		// leaving [0, workers) to the concurrently running correct sweep.
-		go func(slot *stallSlot) {
-			defer wg.Done()
-			seg, localErr := c.newSegment()
-			if seg != nil {
-				defer c.releaseSegment(seg)
-			}
-			if localErr != nil {
-				stop.Store(true)
-			}
-			for ns := range jobs {
-				if localErr != nil {
-					continue // keep draining so the feeder never blocks
-				}
-				if skip := c.cfg.SkipServer; skip != nil && skip(ns.Addr) {
-					continue
-				}
-				urs, err := c.collectNSFused(ctx, ns, canary, db, seg, slot)
-				if err != nil {
-					localErr = err
-					stop.Store(true)
-					continue
-				}
-				if done := c.cfg.ServerDone; done != nil {
-					done(ns.Addr)
-				}
-				emit(urs)
-			}
-			if localErr != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = localErr
-				}
-				mu.Unlock()
-			}
-		}(c.wd.slot(workers + w))
-	}
-	feed(ctx, jobs, &stop, c.cfg.Nameservers)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return firstErr
+	err := c.sweepServers(ctx, c.cfg.Nameservers, workers, func(j *serverJob) error {
+		urs, err := c.collectNSFused(ctx, j, canary, db)
+		if err == nil {
+			emit(urs)
+		}
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	// End-of-sweep re-queue of the failed UR probes (canary probes had their
 	// in-job retry). Every NS job is done, so these retries are the only
 	// remaining traffic to the nameserver endpoints and their per-endpoint
 	// order — canonical, single goroutine — is deterministic.
 	var recovered []*UR
-	err := c.requeueOn(ctx, sweepURs, c.wd.slot(2*workers+1), func(f probeFailure, resp *dns.Message) {
+	err = c.requeue(ctx, sweepURs, c.wd.slot(2*workers+1), func(f probeFailure, resp *dns.Message) {
 		recovered = c.ursFromResponse(f.ns, f.domain, f.qtype, resp, recovered)
 	})
 	if err != nil {
@@ -150,48 +106,23 @@ func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, em
 // endpoint — canary, targets, canary retry — is a pure function of the
 // configuration, which is what keeps chaos runs reproducible (see the
 // package comment above).
-func (c *Collector) collectNSFused(ctx context.Context, ns NameserverInfo, canary dns.Name, db *ProtectiveDB, seg *segmentWriter, slot *stallSlot) ([]*UR, error) {
-	server := netip.AddrPortFrom(ns.Addr, dnsio.DNSPort)
-	var issued, attempted, answered, recovered int64
-	var fails []probeFailure       // UR failures, for the end-of-sweep re-queue
-	var canaryFails []probeFailure // protective failures, retried in-job
-	defer func() {
-		c.addQueries(ns.Addr, issued)
-		c.bookSweep(ns.Addr, attempted, answered, recovered, append(fails, canaryFails...))
-	}()
-
-	// Phase 1: protective canary probes — the endpoint's first exchanges,
-	// exactly as the serial CollectProtective sweep issues them.
+func (c *Collector) collectNSFused(ctx context.Context, j *serverJob, canary dns.Name, db *ProtectiveDB) ([]*UR, error) {
+	ns := j.ns
+	// Phase 1: protective canary probes — the endpoint's first exchanges.
 	for _, qt := range c.cfg.queryTypes() {
-		if err := ctx.Err(); err != nil {
+		resp, err := j.probe(ctx, sweepProtective, canary, qt)
+		if err != nil {
 			return nil, err
 		}
-		if c.replayed(sweepProtective, ns.Addr, canary, qt) {
-			continue
+		if resp != nil {
+			addProtectiveAnswers(db, ns.Addr, qt, resp)
 		}
-		issued++
-		attempted++
-		resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, canary, qt)
-		if err != nil {
-			canaryFails = append(canaryFails, probeFailure{
-				ns: ns, domain: canary, qtype: qt,
-				class: class, sweep: sweepProtective,
-			})
-			if seg != nil {
-				if jerr := seg.failure(sweepProtective, ns.Addr, canary, qt, class); jerr != nil {
-					return nil, jerr
-				}
-			}
-			continue
-		}
-		answered++
-		if seg != nil {
-			if jerr := seg.answered(sweepProtective, ns.Addr, canary, qt, wire); jerr != nil {
-				return nil, jerr
-			}
-		}
-		addProtectiveAnswers(db, ns.Addr, qt, resp)
 	}
+	// Phase 1's failures are the canary's; phase 3 retries them and files
+	// what is left with the job's UR failures when the job ends.
+	canaryFails := j.fails
+	j.fails = nil
+	defer func() { j.fails = append(j.fails, canaryFails...) }()
 
 	// Phase 2: the UR sweep over this server's shuffled targets.
 	var out []*UR
@@ -200,44 +131,23 @@ func (c *Collector) collectNSFused(ctx context.Context, ns NameserverInfo, canar
 			continue
 		}
 		for _, qt := range c.cfg.queryTypes() {
-			if err := ctx.Err(); err != nil {
+			resp, err := j.probe(ctx, sweepURs, target, qt)
+			if err != nil {
 				return out, err
 			}
-			if c.replayed(sweepURs, ns.Addr, target, qt) {
-				continue
+			if resp != nil {
+				out = c.ursFromResponse(ns, target, qt, resp, out)
 			}
-			issued++
-			attempted++
-			resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, target, qt)
-			if err != nil {
-				fails = append(fails, probeFailure{
-					ns: ns, domain: target, qtype: qt,
-					class: class, sweep: sweepURs,
-				})
-				if seg != nil {
-					if jerr := seg.failure(sweepURs, ns.Addr, target, qt, class); jerr != nil {
-						return out, jerr
-					}
-				}
-				continue
-			}
-			answered++
-			if seg != nil {
-				if jerr := seg.answered(sweepURs, ns.Addr, target, qt, wire); jerr != nil {
-					return out, jerr
-				}
-			}
-			out = c.ursFromResponse(ns, target, qt, resp, out)
 		}
 	}
 
 	// Phase 3: one in-job retry of this job's failed canary probes. The UR
 	// phase put tens of exchanges between the failure and the retry, giving
-	// flap windows and breakers the same chance to recover that the serial
-	// pipeline's end-of-sweep re-queue provides — without letting another
-	// goroutine interleave on this endpoint. A server's protective set is
-	// therefore final when its job ends, which is what lets the caller emit
-	// the job's URs for immediate classification.
+	// flap windows and breakers the same chance to recover that an
+	// end-of-sweep re-queue provides — without letting another goroutine
+	// interleave on this endpoint. A server's protective set is therefore
+	// final when its job ends, which is what lets the caller emit the job's
+	// URs for immediate classification.
 	if len(canaryFails) > 0 {
 		var remaining []probeFailure
 		for i, f := range canaryFails {
@@ -245,23 +155,23 @@ func (c *Collector) collectNSFused(ctx context.Context, ns NameserverInfo, canar
 				canaryFails = append(remaining, canaryFails[i:]...)
 				return out, err
 			}
-			issued++
-			resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, f.domain, f.qtype)
+			j.issued++
+			resp, wire, class, err := c.probeQuery(ctx, j.slot, j.server, f.domain, f.qtype)
 			if err != nil {
 				f.class = class
 				remaining = append(remaining, f)
-				if seg != nil {
-					if jerr := seg.failure(sweepProtective, ns.Addr, f.domain, f.qtype, class); jerr != nil {
+				if j.seg != nil {
+					if jerr := j.seg.failure(sweepProtective, ns.Addr, f.domain, f.qtype, class); jerr != nil {
 						canaryFails = append(remaining, canaryFails[i+1:]...)
 						return out, jerr
 					}
 				}
 				continue
 			}
-			answered++
-			recovered++
-			if seg != nil {
-				if jerr := seg.answered(sweepProtective, ns.Addr, f.domain, f.qtype, wire); jerr != nil {
+			j.answered++
+			j.recovered++
+			if j.seg != nil {
+				if jerr := j.seg.answered(sweepProtective, ns.Addr, f.domain, f.qtype, wire); jerr != nil {
 					canaryFails = append(remaining, canaryFails[i+1:]...)
 					return out, jerr
 				}

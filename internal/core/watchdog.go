@@ -84,7 +84,8 @@ func (s *stallSlot) disarm() bool {
 	return stalled
 }
 
-// watchdog owns one slot per sweep worker plus the scanning goroutine.
+// watchdog owns one slot per sweep worker and re-queue pass, plus the
+// scanning goroutine.
 type watchdog struct {
 	slots    []stallSlot
 	deadline time.Duration
@@ -97,8 +98,9 @@ type watchdog struct {
 	stopCh chan struct{}
 }
 
-// newWatchdog sizes a watchdog for one collector.
-func newWatchdog(workers int, budget time.Duration, cfg *WatchdogConfig) *watchdog {
+// newWatchdog sizes a watchdog for one collector with the given number of
+// stall slots.
+func newWatchdog(slots int, budget time.Duration, cfg *WatchdogConfig) *watchdog {
 	if cfg == nil {
 		cfg = &WatchdogConfig{}
 	}
@@ -117,7 +119,7 @@ func newWatchdog(workers int, budget time.Duration, cfg *WatchdogConfig) *watchd
 		}
 	}
 	return &watchdog{
-		slots:    make([]stallSlot, workers+1), // +1: a re-queue pass slot
+		slots:    make([]stallSlot, slots),
 		deadline: deadline,
 		interval: interval,
 		grace:    cfg.grace(),

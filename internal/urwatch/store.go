@@ -27,17 +27,19 @@
 // is the difference between GBs of GC-scanned pointer graph and a few large
 // pointer-free allocations the collector skips over.
 //
-// The mutable build side (Builder) still uses sharded maps for concurrent
-// deduplicated inserts; Seal compiles them into the flat form once, and the
-// maps die young. The flat form is also what the binary snapshot format
-// (snapshot.go) serializes — section-per-slice — which is why a restarted
-// daemon can serve the previous generation in milliseconds.
+// The build side (Builder) is a plain slice of verdicts; Seal sorts and
+// deduplicates it into the flat form once, and the slice dies young. The
+// flat form is also what the binary snapshot format (snapshot.go)
+// serializes — section-per-slice — which is why a restarted daemon can serve
+// the previous generation in milliseconds.
 package urwatch
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -393,30 +395,6 @@ func WorstCategory(vs VerdictSet) (core.Category, bool) {
 	return worst, true
 }
 
-// buildShards is the shard count of the builder's mutable maps. Power of
-// two; buys contention-free parallel Adds, nothing more — the shards are
-// compiled away at Seal.
-const buildShards = 16
-
-// buildKey is the §5.1 identity tuple as a comparable struct — the builder's
-// dedup key, replacing the map-era fmt.Sprintf string key on the build hot
-// path.
-type buildKey struct {
-	server netip.Addr
-	domain dns.Name
-	typ    dns.Type
-	rdata  string
-}
-
-// domainShard hashes a domain onto [0, buildShards) with FNV-1a.
-func domainShard(d dns.Name) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(d); i++ {
-		h = (h ^ uint32(d[i])) * 16777619
-	}
-	return h & (buildShards - 1)
-}
-
 // storeInterner canonicalizes the strings packed into generation tables.
 // Package-level on purpose: consecutive generations observe mostly the same
 // domains, rdata, and hosts, so sharing one interner across sweeps makes
@@ -424,74 +402,56 @@ func domainShard(d dns.Name) uint32 {
 // them every interval.
 var storeInterner = core.NewInterner()
 
-// Builder accumulates verdicts for the next generation. Adds are safe from
-// many goroutines (per-shard locks); Seal compiles the shards into the flat
-// immutable form. A Builder is single-use.
+// Builder accumulates verdicts for the next generation; Seal compiles them
+// into the flat immutable form. A Builder is single-use and not safe for
+// concurrent use.
 type Builder struct {
-	mu     [buildShards]sync.Mutex
-	shards [buildShards]map[buildKey]*Verdict
-	sealed atomic.Bool
+	all    []*Verdict
+	sealed bool
 }
 
 // NewBuilder starts an empty next generation.
-func NewBuilder() *Builder {
-	b := &Builder{}
-	for i := range b.shards {
-		b.shards[i] = make(map[buildKey]*Verdict)
-	}
-	return b
-}
+func NewBuilder() *Builder { return &Builder{} }
 
 // Add inserts one verdict. Duplicate keys keep the first insertion (the
 // pipeline's canonical sort means the first is the canonical one).
 func (b *Builder) Add(v *Verdict) {
-	if b.sealed.Load() {
+	if b.sealed {
 		panic("urwatch: Add after Seal")
 	}
-	key := buildKey{server: v.Server, domain: v.Domain, typ: v.Type, rdata: v.RData}
-	si := domainShard(v.Domain)
-	b.mu[si].Lock()
-	if _, dup := b.shards[si][key]; !dup {
-		b.shards[si][key] = v
-	}
-	b.mu[si].Unlock()
+	b.all = append(b.all, v)
 }
 
-// Seal stamps and compiles the generation: the shard maps flatten into the
-// sorted record array, the string table, the IP arena and index, and the
-// provider aggregates. The builder must not be used afterwards.
+// Seal stamps and compiles the generation: the verdicts sort and
+// deduplicate into the record array, the string table, the IP arena and
+// index, and the provider aggregates. The builder must not be used
+// afterwards.
 func (b *Builder) Seal(seq uint64, sweptAt time.Time) *Generation {
-	if b.sealed.Swap(true) {
+	if b.sealed {
 		panic("urwatch: Seal called twice")
 	}
-	n := 0
-	for i := range b.shards {
-		n += len(b.shards[i])
-	}
-	all := make([]*Verdict, 0, n)
-	for i := range b.shards {
-		for _, v := range b.shards[i] {
-			all = append(all, v)
-		}
-		b.shards[i] = nil
-	}
+	b.sealed = true
+	all := b.all
+	b.all = nil
 	// Record order: (domain, server, type, rdata). Domain-major makes the
 	// sorted array its own domain index; within a domain the order is the
 	// feed's canonical (server, type, rdata), exactly what the map-era
-	// per-domain slices served.
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
+	// per-domain slices served. The sort is stable, so of verdicts sharing
+	// that identity the first added leads its run and the dedup keeps it.
+	cmp := func(a, b *Verdict) int {
 		if a.Domain != b.Domain {
-			return a.Domain < b.Domain
+			return strings.Compare(string(a.Domain), string(b.Domain))
 		}
-		if cmp := a.Server.Compare(b.Server); cmp != 0 {
-			return cmp < 0
+		if c := a.Server.Compare(b.Server); c != 0 {
+			return c
 		}
 		if a.Type != b.Type {
-			return a.Type < b.Type
+			return int(a.Type) - int(b.Type)
 		}
-		return a.RData < b.RData
-	})
+		return strings.Compare(a.RData, b.RData)
+	}
+	slices.SortStableFunc(all, cmp)
+	all = slices.CompactFunc(all, func(a, b *Verdict) bool { return cmp(a, b) == 0 })
 
 	g := &Generation{Seq: seq, SweptAt: sweptAt}
 	g.strs = []string{""}
