@@ -1,14 +1,14 @@
-// Command benchjson runs the headline URHunter benchmarks programmatically
-// and emits a machine-readable JSON summary (BENCH_pipeline.json) for CI
-// trend tracking and the DESIGN.md performance table.
+// Command benchjson runs every entry of the benchmark suite
+// (internal/benchsuite) through testing.Benchmark at the tiny scale, writes
+// the JSON summary BENCH_pipeline.json for CI trend tracking and the
+// DESIGN.md performance table, and then checks the suite's gates. Custom
+// metrics reported via b.ReportMetric appear under "extra". The snapshot is
+// written first, so a failing run still leaves its numbers behind; a failed
+// entry or gate exits 1.
 //
 // Usage:
 //
 //	go run ./cmd/benchjson [-out BENCH_pipeline.json] [-seed 7]
-//
-// The tool mirrors the `go test -bench` harness benchmarks at the tiny
-// scale, so a run completes in seconds. Custom metrics reported via
-// b.ReportMetric (queries/sec, urs) appear under "extra".
 package main
 
 import (
@@ -16,45 +16,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/netip"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro"
-	"repro/internal/core"
-	"repro/internal/dns"
-	"repro/internal/dnsio"
-	"repro/internal/fleet"
-	"repro/internal/simnet"
-	"repro/internal/transport"
-	"repro/internal/urwatch"
+	"repro/internal/benchsuite"
 )
-
-// delayTransport adds real-time latency to the instant simulated fabric,
-// turning the sweep into the network-bound workload a distributed sweep
-// actually amortizes. The delay is paid as one accurate d-length sleep every
-// `every` exchanges rather than d/every per exchange — sub-millisecond
-// sleeps oversleep by an order of magnitude on Linux, which would silently
-// multiply the simulated latency. Used by ShardedSweep.
-type delayTransport struct {
-	inner dnsio.Transport
-	d     time.Duration
-	every int64
-	n     atomic.Int64
-}
-
-func (t *delayTransport) Exchange(ctx context.Context, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
-	if t.n.Add(1)%t.every == 0 {
-		time.Sleep(t.d)
-	}
-	return t.inner.Exchange(ctx, server, packed, tcp)
-}
 
 // benchResult is one benchmark's summary in the output file.
 type benchResult struct {
@@ -65,8 +34,12 @@ type benchResult struct {
 	Extra       map[string]float64 `json:"extra,omitempty"`
 }
 
+// report is the output file: the measuring host, the workload, and one
+// result per suite entry.
 type report struct {
 	GoVersion  string                 `json:"go_version"`
+	CPU        string                 `json:"cpu"`
+	NumCPU     int                    `json:"num_cpu"`
 	GOMAXPROCS int                    `json:"gomaxprocs"`
 	Scale      string                 `json:"scale"`
 	Seed       int64                  `json:"seed"`
@@ -76,668 +49,41 @@ type report struct {
 func main() {
 	out := flag.String("out", "BENCH_pipeline.json", "output file ('-' for stdout)")
 	seed := flag.Int64("seed", 7, "world generation seed")
-	gatePct := flag.Float64("max-journal-overhead-pct", 0,
-		"exit 1 if JournaledPipeline's journal_overhead_% exceeds this (0 disables the gate)")
-	minServeQPS := flag.Float64("min-serve-qps", 0,
-		"exit 1 if ServeVerdicts' serve_qps falls below this (0 disables the gate)")
-	maxServeP99 := flag.Float64("max-serve-p99-ms", 0,
-		"exit 1 if ServeVerdicts' serve_p99_ms exceeds this (0 disables the gate)")
-	maxBytesPerVerdict := flag.Float64("max-bytes-per-verdict", 0,
-		"exit 1 if FlatStoreFootprint's bytes_per_verdict exceeds this (0 disables the gate)")
-	maxColdstart := flag.Float64("max-coldstart-ms", 0,
-		"exit 1 if SnapshotColdStart's coldstart_ms exceeds this (0 disables the gate)")
-	minShardedSpeedup := flag.Float64("min-sharded-speedup-2w", 0,
-		"exit 1 if ShardedSweep's speedup_vs_1worker_2w_x falls below this (0 disables the gate)")
-	maxMergeOverhead := flag.Float64("max-merge-overhead-pct", 0,
-		"exit 1 if ShardedSweep's merge_overhead_% exceeds this (0 disables the gate)")
-	maxDoHOverhead := flag.Float64("max-doh-overhead-pct", 0,
-		"exit 1 if TransportSweep's doh_overhead_% exceeds this (0 disables the gate)")
 	flag.Parse()
+	testing.Init() // b.Fatal needs the testing flags; registered after Parse, they stay off the CLI
 
 	env, err := repro.NewEnv(context.Background(), repro.TinyScale(), *seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: env: %v\n", err)
 		os.Exit(1)
 	}
-
 	rep := report{
 		GoVersion:  runtime.Version(),
+		CPU:        cpuModel(),
+		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Scale:      "tiny",
 		Seed:       *seed,
 		Benchmarks: map[string]benchResult{},
 	}
-	run := func(name string, fn func(b *testing.B)) {
-		r := testing.Benchmark(fn)
-		rep.Benchmarks[name] = benchResult{
+	failed := false
+	for _, e := range benchsuite.Entries {
+		r := testing.Benchmark(func(b *testing.B) { e.Run(b, env) })
+		if r.N == 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %s failed\n", e.Name)
+			failed = true
+			continue
+		}
+		nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
+		rep.Benchmarks[e.Name] = benchResult{
 			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			NsPerOp:     nsPerOp,
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			Extra:       r.Extra,
 		}
-		fmt.Fprintf(os.Stderr, "%-28s %10d iters  %12.0f ns/op\n",
-			name, r.N, float64(r.T.Nanoseconds())/float64(r.N))
+		fmt.Fprintf(os.Stderr, "%-36s %10d iters  %14.0f ns/op\n", e.Name, r.N, nsPerOp)
 	}
-
-	run("Table1Pipeline", func(b *testing.B) {
-		var queries int64
-		var cov *core.Coverage
-		var stages *core.StageTimings
-		for i := 0; i < b.N; i++ {
-			res, err := repro.NewPipeline(env.World).Run(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			queries = res.Queries
-			cov = res.Coverage
-			stages = res.Stages
-		}
-		b.ReportMetric(float64(queries)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-		b.ReportMetric(100*cov.AnsweredRatio(), "answered_%")
-		b.ReportMetric(stages.OverlapPercent(), "pipeline_overlap_%")
-	})
-	// PipelineOverlap measures what the streaming dataflow buys end to end:
-	// each iteration runs the pipeline fully serial (one sweep worker, one
-	// determine worker) and then at the GOMAXPROCS defaults, back to back,
-	// and speedup_vs_serial_x is the MEDIAN of the per-pair wall-clock
-	// ratios (same estimator rationale as JournaledPipeline). On a 1-core
-	// host the ratio hovers near 1.0 by construction — the overlap win needs
-	// GOMAXPROCS>1 to materialize, which is where the CI runners record it.
-	run("PipelineOverlap", func(b *testing.B) {
-		var ratios []float64
-		var overlap float64
-		var serialNs, overlappedNs int64
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			cfg := env.World.URHunterConfig()
-			cfg.Parallelism, cfg.DetermineWorkers = 1, 1
-			if _, err := core.NewPipeline(cfg).Run(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-			t1 := time.Now()
-			res, err := repro.NewPipeline(env.World).Run(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			t2 := time.Now()
-			serial, overlapped := t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds()
-			serialNs += serial
-			overlappedNs += overlapped
-			if overlapped > 0 {
-				ratios = append(ratios, float64(serial)/float64(overlapped))
-			}
-			overlap = res.Stages.OverlapPercent()
-		}
-		if len(ratios) > 0 {
-			sort.Float64s(ratios)
-			mid := len(ratios) / 2
-			med := ratios[mid]
-			if len(ratios)%2 == 0 {
-				med = (ratios[mid-1] + ratios[mid]) / 2
-			}
-			b.ReportMetric(med, "speedup_vs_serial_x")
-		}
-		b.ReportMetric(float64(serialNs)/float64(b.N), "serial_ns_per_op")
-		b.ReportMetric(float64(overlappedNs)/float64(b.N), "overlapped_ns_per_op")
-		b.ReportMetric(overlap, "pipeline_overlap_%")
-	})
-	// ChaosPipelineCoverage runs the same pipeline under the acceptance-gate
-	// fault mix (30% loss, 5% wrong-ID spoofing everywhere, two flapping
-	// nameservers) and reports how much of the probe plan still completed —
-	// the robustness counterpart to the clean-run throughput numbers.
-	run("ChaosPipelineCoverage", func(b *testing.B) {
-		w := env.World
-		w.Fabric.SetLossRate(0.30)
-		for i, ns := range w.Nameservers {
-			p := simnet.FaultProfile{WrongIDRate: 0.05}
-			if i < 2 {
-				p.FlapPeriod, p.FlapDown = 16, 3
-			}
-			dnsio.SetSimFault(w.Fabric, ns.Addr, p)
-		}
-		defer func() {
-			w.Fabric.SetLossRate(0)
-			w.Fabric.ClearFaults()
-		}()
-		var cov *core.Coverage
-		for i := 0; i < b.N; i++ {
-			res, err := repro.NewPipeline(w).Run(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			cov = res.Coverage
-		}
-		b.ReportMetric(100*cov.AnsweredRatio(), "answered_%")
-		b.ReportMetric(float64(cov.RetriedRecovered), "recovered")
-		b.ReportMetric(float64(cov.BreakerTrips), "breaker_trips")
-	})
-	// JournaledPipeline is the clean-run pipeline with checkpointing on: a
-	// fresh journal directory per iteration, so every answered probe is
-	// framed, CRC'd, buffered, and written out at checkpoint boundaries.
-	// Each iteration runs several (plain, journaled) pairs back-to-back and
-	// journal_overhead_% is the MEDIAN of the per-pair overhead ratios.
-	// Noise on a shared machine — scheduler stalls, GC cycles, CPU steal —
-	// only ever adds time and lands in bursts, so a separately measured
-	// baseline would fold machine drift into the number, a mean lets one
-	// burst swamp the single-digit cost the acceptance gate bounds, and the
-	// median needs the dozens of tightly interleaved pairs the inner loop
-	// provides to shrug bursts off. journal_overhead_min_% (the gap between
-	// the two variants' quiet-window minima) is reported for comparison.
-	run("JournaledPipeline", func(b *testing.B) {
-		const pairsPerIter = 3
-		var journaledNs int64
-		var minBase, minJournaled int64
-		var overheads []float64
-		var appended int64
-		var pairs int
-		for i := 0; i < b.N; i++ {
-			for k := 0; k < pairsPerIter; k++ {
-				b.StopTimer()
-				dir, err := os.MkdirTemp("", "benchjournal")
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				t0 := time.Now()
-				if _, err := repro.NewPipeline(env.World).Run(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				t1 := time.Now()
-				pipe, j, err := repro.NewJournaledPipeline(env.World, dir, repro.JournalOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := pipe.Run(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				if err := j.Close(); err != nil {
-					b.Fatal(err)
-				}
-				t2 := time.Now()
-				base, journaled := t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds()
-				journaledNs += journaled
-				pairs++
-				if minBase == 0 || base < minBase {
-					minBase = base
-				}
-				if minJournaled == 0 || journaled < minJournaled {
-					minJournaled = journaled
-				}
-				if base > 0 {
-					overheads = append(overheads, float64(journaled-base)/float64(base))
-				}
-				appended = j.Appended()
-				b.StopTimer()
-				os.RemoveAll(dir)
-				b.StartTimer()
-			}
-		}
-		b.ReportMetric(float64(appended), "journal_records")
-		b.ReportMetric(float64(journaledNs)/float64(pairs), "journaled_ns_per_op")
-		if len(overheads) > 0 {
-			sort.Float64s(overheads)
-			mid := len(overheads) / 2
-			med := overheads[mid]
-			if len(overheads)%2 == 0 {
-				med = (overheads[mid-1] + overheads[mid]) / 2
-			}
-			b.ReportMetric(100*med, "journal_overhead_%")
-		}
-		if minBase > 0 {
-			b.ReportMetric(100*float64(minJournaled-minBase)/float64(minBase), "journal_overhead_min_%")
-		}
-	})
-	// DetermineParallel / AnalyzeParallel isolate the classification tail the
-	// overlapped pipeline parallelized: one collected, enriched UR set,
-	// re-classified per iteration after a field reset (the reset is a linear
-	// walk, negligible against the lookups being measured).
-	resetURs := func(urs []*core.UR) {
-		for _, u := range urs {
-			u.Category, u.Reason = core.CategoryUnknown, core.ReasonNone
-			u.MaliciousByIntel, u.MaliciousByIDS = false, false
-		}
-	}
-	detSetup := func(b *testing.B) (*core.Config, *core.Determiner, []*core.UR) {
-		cfg := env.World.URHunterConfig()
-		res, err := core.NewPipeline(cfg).Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		resetURs(res.URs)
-		return cfg, core.NewDeterminer(cfg, res.Correct, res.Protective), res.URs
-	}
-	run("DetermineParallel", func(b *testing.B) {
-		_, det, urs := detSetup(b)
-		workers := runtime.GOMAXPROCS(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resetURs(urs)
-			det.DetermineParallel(urs, workers)
-		}
-		b.ReportMetric(float64(len(urs))*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
-		b.ReportMetric(float64(workers), "workers")
-	})
-	run("AnalyzeParallel", func(b *testing.B) {
-		cfg, det, urs := detSetup(b)
-		suspicious := det.DetermineParallel(urs, runtime.GOMAXPROCS(0))
-		analyzer := core.NewAnalyzer(cfg)
-		workers := runtime.GOMAXPROCS(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, u := range suspicious {
-				u.Category = core.CategoryUnknown
-				u.MaliciousByIntel, u.MaliciousByIDS = false, false
-			}
-			analyzer.AnalyzeParallel(suspicious, workers)
-		}
-		b.ReportMetric(float64(len(suspicious))*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
-		b.ReportMetric(float64(workers), "workers")
-	})
-	// ShardedSweep measures what the coordinator/worker fan-out buys: each
-	// iteration runs the single-process pipeline and then full fleet runs
-	// (coordinator + N in-process workers over loopback TCP, shard journals,
-	// merge, merged-report pipeline) at 1, 2, and 4 workers, all back to
-	// back. The simulated fabric answers instantly, which would make the
-	// sweep CPU-bound and hide exactly the cost fan-out amortizes, so every
-	// config gets a transport that adds an average real 100µs per exchange —
-	// the sweep becomes network-bound the way a real fleet run is, and
-	// latency-parked workers overlap even on one core. Every sweep runs with
-	// Parallelism=1 so the worker count is the only parallelism knob.
-	// speedup_vs_1worker_{2w,4w}_x are MEDIANS of the per-iteration
-	// fleet(1)/fleet(N) wall-clock ratios (same estimator rationale as
-	// JournaledPipeline); merge_overhead_% is the median cost of the whole
-	// fleet apparatus — shard journals, TCP coordination, journal merge, and
-	// the merged replay — over the plain single-process run, measured at 1
-	// worker where no fan-out win can hide it.
-	run("ShardedSweep", func(b *testing.B) {
-		const (
-			exchangeDelay = time.Millisecond
-			delayEvery    = 10 // avg 100µs/exchange, paid in accurate 1ms sleeps
-		)
-		workerCounts := []int{1, 2, 4}
-		maxWorkers := workerCounts[len(workerCounts)-1]
-		// One world per in-process "process", generated outside the timer:
-		// real fleet workers each generate their own same-seed world, and the
-		// benchmark reproduces that isolation.
-		newWorld := func() *repro.World {
-			w, err := repro.GenerateWorld(repro.TinyScale(), *seed)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return w
-		}
-		slowCfg := func(w *repro.World) *core.Config {
-			cfg := w.URHunterConfig()
-			cfg.Parallelism, cfg.DetermineWorkers = 1, 1
-			cfg.Transport = &delayTransport{
-				inner: &dnsio.SimTransport{Fabric: cfg.Fabric, Src: cfg.SrcAddr},
-				d:     exchangeDelay, every: delayEvery,
-			}
-			return cfg
-		}
-		singleWorld := newWorld()
-		coordWorld := newWorld()
-		workerWorlds := make([]*repro.World, maxWorkers)
-		for i := range workerWorlds {
-			workerWorlds[i] = newWorld()
-		}
-		fleetRun := func(nWorkers int) time.Duration {
-			b.StopTimer()
-			dir, err := os.MkdirTemp("", "benchfleet")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			b.StartTimer()
-			t0 := time.Now()
-			co, err := fleet.NewCoordinator(slowCfg(coordWorld), fleet.CoordOptions{
-				Dir: dir, Shards: nWorkers, StealAfter: time.Hour,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := co.Listen("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			runErr := make(chan error, 1)
-			go func() { runErr <- co.Run(ctx) }()
-			var wg sync.WaitGroup
-			for i := 0; i < nWorkers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					err := fleet.RunWorker(ctx, co.Addr().String(), slowCfg(workerWorlds[i]),
-						fleet.WorkerOptions{Name: fmt.Sprintf("bench-%d", i), Parallelism: 1})
-					if err != nil {
-						b.Error(err)
-					}
-				}(i)
-			}
-			wg.Wait()
-			if err := <-runErr; err != nil {
-				b.Fatal(err)
-			}
-			if _, err := co.Finish(ctx); err != nil {
-				b.Fatal(err)
-			}
-			return time.Since(t0)
-		}
-		median := func(xs []float64) float64 {
-			sort.Float64s(xs)
-			mid := len(xs) / 2
-			if len(xs)%2 == 0 {
-				return (xs[mid-1] + xs[mid]) / 2
-			}
-			return xs[mid]
-		}
-		var speedup2, speedup4, overheads []float64
-		var singleNs, fleet1Ns int64
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			if _, err := core.NewPipeline(slowCfg(singleWorld)).Run(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-			tSingle := time.Since(t0)
-			t1 := fleetRun(1)
-			t2 := fleetRun(2)
-			t4 := fleetRun(4)
-			singleNs += tSingle.Nanoseconds()
-			fleet1Ns += t1.Nanoseconds()
-			if t2 > 0 {
-				speedup2 = append(speedup2, float64(t1)/float64(t2))
-			}
-			if t4 > 0 {
-				speedup4 = append(speedup4, float64(t1)/float64(t4))
-			}
-			if tSingle > 0 {
-				overheads = append(overheads, 100*float64(t1-tSingle)/float64(tSingle))
-			}
-		}
-		b.ReportMetric(float64(singleNs)/float64(b.N), "single_ns_per_op")
-		b.ReportMetric(float64(fleet1Ns)/float64(b.N), "fleet1_ns_per_op")
-		if len(speedup2) > 0 {
-			b.ReportMetric(median(speedup2), "speedup_vs_1worker_2w_x")
-		}
-		if len(speedup4) > 0 {
-			b.ReportMetric(median(speedup4), "speedup_vs_1worker_4w_x")
-		}
-		if len(overheads) > 0 {
-			b.ReportMetric(median(overheads), "merge_overhead_%")
-		}
-	})
-	// TransportSweep prices the encrypted transports: one full sweep per
-	// transport kind over a fresh same-seed world, with the modeled crypto
-	// costs — a handshake per distinct server, a record/header tax per
-	// exchange — landing on the fabric's virtual clock. {dot,doh}_overhead_%
-	// compare each encrypted sweep's virtual time to the plain-UDP sweep's;
-	// the -max-doh-overhead-pct gate bounds the dearer of the two. The modeled
-	// arithmetic (DESIGN.md §14) puts DoH at a ~12.5% per-message tax plus an
-	// amortized 2-RTT handshake per server, so the 50% CI ceiling has slack
-	// for plan-shape drift while still catching a broken amortization (a
-	// handshake per message would blow far past it).
-	run("TransportSweep", func(b *testing.B) {
-		virtual := map[transport.Kind]int64{}
-		var dohHandshakes, dohServers float64
-		for i := 0; i < b.N; i++ {
-			for _, kind := range transport.SweepKinds {
-				w, err := repro.GenerateWorld(repro.TinyScale(), *seed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := w.URHunterConfig()
-				tr, err := transport.NewSim(kind, cfg.Fabric, cfg.SrcAddr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg.Transport = tr
-				cfg.TransportKind = string(kind)
-				v0 := w.Fabric.VirtualRTT()
-				if _, err := core.NewPipeline(cfg).Run(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				virtual[kind] += int64(w.Fabric.VirtualRTT() - v0)
-				if kind == transport.KindDoH {
-					if hs, ok := tr.(interface{ Handshakes() int64 }); ok {
-						dohHandshakes = float64(hs.Handshakes())
-						dohServers = float64(len(w.Nameservers) + len(w.Resolvers.Resolvers))
-					}
-				}
-			}
-		}
-		udp := virtual[transport.KindUDP]
-		if udp > 0 {
-			b.ReportMetric(100*float64(virtual[transport.KindDoT]-udp)/float64(udp), "dot_overhead_%")
-			b.ReportMetric(100*float64(virtual[transport.KindDoH]-udp)/float64(udp), "doh_overhead_%")
-		}
-		b.ReportMetric(dohHandshakes, "doh_handshakes")
-		b.ReportMetric(dohServers, "doh_servers")
-	})
-	run("CollectorSweep", func(b *testing.B) {
-		cfg := env.World.URHunterConfig()
-		cfg.CollectOnly = true
-		var queries int64
-		for i := 0; i < b.N; i++ {
-			res, err := core.NewPipeline(cfg).Run(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			queries = res.Queries
-		}
-		b.ReportMetric(float64(queries)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-	})
-	// ServeVerdicts measures the URWatch DNSBL front-end over one sealed
-	// generation of real pipeline verdicts, hammered from all procs with the
-	// serving query mix. serve_qps / serve_p99_ms feed the CI serving gates.
-	run("ServeVerdicts", func(b *testing.B) {
-		res, err := repro.NewPipeline(env.World).Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		store := urwatch.NewStore()
-		store.Publish(urwatch.SnapshotFromResult(res, 1, time.Unix(0, 0)))
-		const apex = dns.Name("feed.test")
-		zr := &urwatch.ZoneResponder{Apex: apex, Store: store, Cache: urwatch.NewResponseCache(0)}
-		var listedDomain dns.Name
-		var listedIP netip.Addr
-		for _, u := range res.URs {
-			if u.Type == dns.TypeA && len(u.CorrespondingIPs) > 0 {
-				listedDomain, listedIP = u.Domain, u.CorrespondingIPs[0]
-				break
-			}
-		}
-		if listedDomain == "" {
-			b.Fatal("no A-record UR in the bench world")
-		}
-		revName, ok := urwatch.ReverseIPName(listedIP, apex)
-		if !ok {
-			b.Fatalf("unreversible IP %s", listedIP)
-		}
-		queries := []*dns.Message{
-			dns.NewQuery(1, urwatch.DomainName(listedDomain, apex), dns.TypeA),
-			dns.NewQuery(2, urwatch.DomainName(listedDomain, apex), dns.TypeTXT),
-			dns.NewQuery(3, revName, dns.TypeA),
-			dns.NewQuery(4, "gen."+apex, dns.TypeTXT),
-			dns.NewQuery(5, urwatch.DomainName("unlisted.example", apex), dns.TypeA),
-		}
-		hist := urwatch.NewLatencyHistogram(100_000)
-		src := netip.MustParseAddr("10.7.7.7")
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			var i int
-			for pb.Next() {
-				q := queries[i%len(queries)]
-				i++
-				t0 := time.Now()
-				resp := zr.HandleQuery(src, q)
-				hist.Observe(time.Since(t0))
-				if resp.Header.RCode == dns.RCodeRefused || resp.Header.RCode == dns.RCodeServFail {
-					b.Fatalf("dropped verdict: rcode %s", resp.Header.RCode)
-				}
-			}
-		})
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "serve_qps")
-		b.ReportMetric(float64(hist.Quantile(0.99).Nanoseconds())/1e6, "serve_p99_ms")
-	})
-	// FlatStoreFootprint compares the flat generation layout's retained
-	// bytes per verdict (analytical accounting over the packed arrays, the
-	// figure the -max-bytes-per-verdict gate bounds) against a heap-measured
-	// rebuild of the map-era indexes — maps of pointers keyed by string,
-	// domain, and address — over the same verdicts. map_bytes_per_verdict is
-	// measured, not modeled, so the delta is the refactor's actual win.
-	run("FlatStoreFootprint", func(b *testing.B) {
-		res, err := repro.NewPipeline(env.World).Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		g := urwatch.SnapshotFromResult(res, 1, time.Unix(0, 0))
-		if g.Total() == 0 {
-			b.Fatal("empty generation")
-		}
-		verdicts := make([]*urwatch.Verdict, 0, g.Total())
-		all := g.All()
-		for i := 0; i < all.Len(); i++ {
-			verdicts = append(verdicts, all.At(i).Verdict())
-		}
-		heapDelta := func(build func() any) float64 {
-			runtime.GC()
-			runtime.GC()
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			ref := build()
-			runtime.GC()
-			runtime.ReadMemStats(&m1)
-			runtime.KeepAlive(ref)
-			if m1.HeapAlloc <= m0.HeapAlloc {
-				return 0
-			}
-			return float64(m1.HeapAlloc - m0.HeapAlloc)
-		}
-		mapBytes := heapDelta(func() any {
-			type mapEra struct {
-				byKey    map[string]*urwatch.Verdict
-				byDomain map[dns.Name][]*urwatch.Verdict
-				byIP     map[netip.Addr][]*urwatch.Verdict
-			}
-			m := &mapEra{
-				byKey:    make(map[string]*urwatch.Verdict),
-				byDomain: make(map[dns.Name][]*urwatch.Verdict),
-				byIP:     make(map[netip.Addr][]*urwatch.Verdict),
-			}
-			for _, v := range verdicts {
-				// The map era retained each sweep's own string data per
-				// verdict (no interning) plus fmt.Sprintf'd map keys; clone
-				// so none of it aliases the flat generation's arenas.
-				cp := *v
-				cp.Domain = dns.Name(strings.Clone(string(v.Domain)))
-				cp.RData = strings.Clone(v.RData)
-				cp.Reason = core.CorrectReason(strings.Clone(string(v.Reason)))
-				cp.NSHost = dns.Name(strings.Clone(string(v.NSHost)))
-				cp.Provider = strings.Clone(v.Provider)
-				cp.IPs = append([]netip.Addr(nil), v.IPs...)
-				m.byKey[cp.Key()] = &cp
-				m.byDomain[cp.Domain] = append(m.byDomain[cp.Domain], &cp)
-				for _, ip := range cp.IPs {
-					m.byIP[ip] = append(m.byIP[ip], &cp)
-				}
-			}
-			return m
-		})
-		for i := 0; i < b.N; i++ {
-		}
-		b.ReportMetric(float64(g.SizeBytes())/float64(g.Total()), "bytes_per_verdict")
-		b.ReportMetric(mapBytes/float64(g.Total()), "map_bytes_per_verdict")
-		b.ReportMetric(float64(g.Total()), "verdicts")
-	})
-	// SnapshotColdStart is the restart SLO: load one generation snapshot
-	// from disk, validate it, swap it into a fresh store — what `urwatchd
-	// -snapshot-dir` does before opening its listeners. coldstart_ms feeds
-	// the -max-coldstart-ms gate.
-	run("SnapshotColdStart", func(b *testing.B) {
-		res, err := repro.NewPipeline(env.World).Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		g := urwatch.SnapshotFromResult(res, 1, time.Unix(0, 0))
-		dir, err := os.MkdirTemp("", "benchsnap")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		path, err := urwatch.SaveGeneration(dir, g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			loaded, err := urwatch.LoadSnapshotFile(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			store := urwatch.NewStore()
-			store.Restore(loaded)
-			if store.Current().Total() != g.Total() {
-				b.Fatal("restored generation incomplete")
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "coldstart_ms")
-	})
-	run("DNSPackUnpack", func(b *testing.B) {
-		m := dns.NewQuery(1, "www.example.com", dns.TypeA).Reply()
-		m.Answers = append(m.Answers,
-			dns.MustParseRR("www.example.com 300 IN CNAME example.com"),
-			dns.MustParseRR("example.com 300 IN A 192.0.2.10"))
-		m.Authority = append(m.Authority,
-			dns.MustParseRR("example.com 86400 IN NS ns1.hosting.test"),
-			dns.MustParseRR("example.com 86400 IN NS ns2.hosting.test"))
-		m.Additional = append(m.Additional,
-			dns.MustParseRR("ns1.hosting.test 86400 IN A 198.51.100.1"))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf, err := m.Pack()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := dns.Unpack(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	run("FabricExchangeParallel", func(b *testing.B) {
-		w := env.World
-		q := dns.NewQuery(99, w.Targets[0], dns.TypeA)
-		packed, err := q.Pack()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ep := simnet.Endpoint{Addr: w.Nameservers[0].Addr, Port: 53}
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if _, err := w.Fabric.Exchange(w.CollectorAddr, ep, packed, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	})
-	run("ClientQueryParallel", func(b *testing.B) {
-		w := env.World
-		client := dnsio.NewClient(&dnsio.SimTransport{Fabric: w.Fabric, Src: w.CollectorAddr})
-		target := w.Targets[0]
-		srv := netip.AddrPortFrom(w.Nameservers[0].Addr, 53)
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if _, err := client.Query(context.Background(), srv, target, dns.TypeA); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	})
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -755,102 +101,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	}
 
-	// Regression gate: the snapshot is written first so a failing run still
-	// leaves the numbers behind for diagnosis.
-	if *gatePct > 0 {
-		got, ok := rep.Benchmarks["JournaledPipeline"].Extra["journal_overhead_%"]
+	for _, g := range benchsuite.Gates {
+		got, ok := rep.Benchmarks[g.Bench].Extra[g.Metric]
+		verdict := "ok"
 		if !ok {
-			fmt.Fprintln(os.Stderr, "benchjson: gate: JournaledPipeline reported no journal_overhead_%")
-			os.Exit(1)
+			verdict = "FAIL: not reported"
+		} else if g.Op == "<=" && got > g.Bound || g.Op == ">=" && got < g.Bound {
+			verdict = "FAIL"
 		}
-		if got > *gatePct {
-			fmt.Fprintf(os.Stderr, "benchjson: gate: journal_overhead_%% %.2f exceeds the %.2f limit\n", got, *gatePct)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "journal overhead gate: %.2f%% <= %.2f%%\n", got, *gatePct)
+		fmt.Fprintf(os.Stderr, "gate %s %s = %.3f (%s %g): %s\n", g.Bench, g.Metric, got, g.Op, g.Bound, verdict)
+		failed = failed || verdict != "ok"
 	}
-	if *minServeQPS > 0 {
-		got, ok := rep.Benchmarks["ServeVerdicts"].Extra["serve_qps"]
-		if !ok {
-			fmt.Fprintln(os.Stderr, "benchjson: gate: ServeVerdicts reported no serve_qps")
-			os.Exit(1)
-		}
-		if got < *minServeQPS {
-			fmt.Fprintf(os.Stderr, "benchjson: gate: serve_qps %.0f below the %.0f floor\n", got, *minServeQPS)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "serve qps gate: %.0f >= %.0f\n", got, *minServeQPS)
+	if failed {
+		os.Exit(1)
 	}
-	if *maxServeP99 > 0 {
-		got, ok := rep.Benchmarks["ServeVerdicts"].Extra["serve_p99_ms"]
-		if !ok {
-			fmt.Fprintln(os.Stderr, "benchjson: gate: ServeVerdicts reported no serve_p99_ms")
-			os.Exit(1)
-		}
-		if got > *maxServeP99 {
-			fmt.Fprintf(os.Stderr, "benchjson: gate: serve_p99_ms %.3f exceeds the %.3f limit\n", got, *maxServeP99)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "serve p99 gate: %.3fms <= %.3fms\n", got, *maxServeP99)
-	}
-	if *maxBytesPerVerdict > 0 {
-		got, ok := rep.Benchmarks["FlatStoreFootprint"].Extra["bytes_per_verdict"]
-		if !ok {
-			fmt.Fprintln(os.Stderr, "benchjson: gate: FlatStoreFootprint reported no bytes_per_verdict")
-			os.Exit(1)
-		}
-		if got > *maxBytesPerVerdict {
-			fmt.Fprintf(os.Stderr, "benchjson: gate: bytes_per_verdict %.0f exceeds the %.0f limit\n", got, *maxBytesPerVerdict)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "flat footprint gate: %.0f B/verdict <= %.0f\n", got, *maxBytesPerVerdict)
-	}
-	if *maxColdstart > 0 {
-		got, ok := rep.Benchmarks["SnapshotColdStart"].Extra["coldstart_ms"]
-		if !ok {
-			fmt.Fprintln(os.Stderr, "benchjson: gate: SnapshotColdStart reported no coldstart_ms")
-			os.Exit(1)
-		}
-		if got > *maxColdstart {
-			fmt.Fprintf(os.Stderr, "benchjson: gate: coldstart_ms %.3f exceeds the %.3f limit\n", got, *maxColdstart)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "cold-start gate: %.3fms <= %.3fms\n", got, *maxColdstart)
-	}
-	if *minShardedSpeedup > 0 {
-		got, ok := rep.Benchmarks["ShardedSweep"].Extra["speedup_vs_1worker_2w_x"]
-		if !ok {
-			fmt.Fprintln(os.Stderr, "benchjson: gate: ShardedSweep reported no speedup_vs_1worker_2w_x")
-			os.Exit(1)
-		}
-		if got < *minShardedSpeedup {
-			fmt.Fprintf(os.Stderr, "benchjson: gate: speedup_vs_1worker_2w_x %.2f below the %.2f floor\n", got, *minShardedSpeedup)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sharded speedup gate: %.2fx >= %.2fx\n", got, *minShardedSpeedup)
-	}
-	if *maxMergeOverhead > 0 {
-		got, ok := rep.Benchmarks["ShardedSweep"].Extra["merge_overhead_%"]
-		if !ok {
-			fmt.Fprintln(os.Stderr, "benchjson: gate: ShardedSweep reported no merge_overhead_%")
-			os.Exit(1)
-		}
-		if got > *maxMergeOverhead {
-			fmt.Fprintf(os.Stderr, "benchjson: gate: merge_overhead_%% %.2f exceeds the %.2f limit\n", got, *maxMergeOverhead)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "merge overhead gate: %.2f%% <= %.2f%%\n", got, *maxMergeOverhead)
-	}
-	if *maxDoHOverhead > 0 {
-		got, ok := rep.Benchmarks["TransportSweep"].Extra["doh_overhead_%"]
-		if !ok {
-			fmt.Fprintln(os.Stderr, "benchjson: gate: TransportSweep reported no doh_overhead_%")
-			os.Exit(1)
-		}
-		if got > *maxDoHOverhead {
-			fmt.Fprintf(os.Stderr, "benchjson: gate: doh_overhead_%% %.2f exceeds the %.2f limit\n", got, *maxDoHOverhead)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "doh overhead gate: %.2f%% <= %.2f%%\n", got, *maxDoHOverhead)
-	}
+}
+
+// cpuModel names the host CPU from /proc/cpuinfo, or "" where that is not
+// available.
+func cpuModel() string {
+	data, _ := os.ReadFile("/proc/cpuinfo")
+	_, rest, _ := strings.Cut(string(data), "model name")
+	_, rest, _ = strings.Cut(rest, ":")
+	model, _, _ := strings.Cut(rest, "\n")
+	return strings.TrimSpace(model)
 }

@@ -692,45 +692,57 @@ func (c *Collector) requeue(ctx context.Context, kind sweepKind, slot *stallSlot
 		}
 	}
 	defer flush()
-	for i, f := range fails {
-		if err := ctx.Err(); err != nil {
-			for _, rest := range fails[i:] {
-				c.refile(rest)
-			}
-			return err
-		}
+	rest, err := c.retry(ctx, kind, seg, slot, fails, func(f probeFailure, resp *dns.Message) {
 		if f.ns.Addr != lastAddr {
 			flush()
 			lastAddr = f.ns.Addr
 		}
 		issued++
+		if resp == nil {
+			c.refile(f)
+			return
+		}
+		c.bookRecovered(f.ns.Addr)
+		onAnswer(f, resp)
+	})
+	for _, f := range rest {
+		c.refile(f)
+	}
+	return err
+}
+
+// retry is the sweep's one retry step: it re-issues each failed probe once,
+// in order, on the calling goroutine under slot, and journals each outcome
+// to seg when journaling. settle books every issued probe as soon as its
+// exchange ends, before the outcome is journaled: resp is the answer, or nil
+// when the probe failed again, with its new failure class in f.class. When
+// the context ends or a journal write fails, retry stops and returns the
+// probes it never issued, unchanged, for the caller to keep.
+func (c *Collector) retry(ctx context.Context, kind sweepKind, seg *segmentWriter, slot *stallSlot, fails []probeFailure, settle func(f probeFailure, resp *dns.Message)) ([]probeFailure, error) {
+	for i, f := range fails {
+		if err := ctx.Err(); err != nil {
+			return fails[i:], err
+		}
 		server := netip.AddrPortFrom(f.ns.Addr, dnsio.DNSPort)
 		resp, wire, class, err := c.probeQuery(ctx, slot, server, f.domain, f.qtype)
 		if err != nil {
-			f.class = class
-			c.refile(f)
-			if seg != nil {
-				if jerr := seg.failure(kind, f.ns.Addr, f.domain, f.qtype, class); jerr != nil {
-					for _, rest := range fails[i+1:] {
-						c.refile(rest)
-					}
-					return jerr
-				}
-			}
+			f.class, resp = class, nil
+		}
+		settle(f, resp)
+		if seg == nil {
 			continue
 		}
-		c.bookRecovered(f.ns.Addr)
-		if seg != nil {
-			if jerr := seg.answered(kind, f.ns.Addr, f.domain, f.qtype, wire); jerr != nil {
-				for _, rest := range fails[i+1:] {
-					c.refile(rest)
-				}
-				return jerr
-			}
+		var jerr error
+		if err != nil {
+			jerr = seg.failure(kind, f.ns.Addr, f.domain, f.qtype, class)
+		} else {
+			jerr = seg.answered(kind, f.ns.Addr, f.domain, f.qtype, wire)
 		}
-		onAnswer(f, resp)
+		if jerr != nil {
+			return fails[i+1:], jerr
+		}
 	}
-	return nil
+	return nil, nil
 }
 
 // sortURs puts a UR set into its canonical order: server address, then

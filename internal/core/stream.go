@@ -148,37 +148,17 @@ func (c *Collector) collectNSFused(ctx context.Context, j *serverJob, canary dns
 	// interleave on this endpoint. A server's protective set is therefore
 	// final when its job ends, which is what lets the caller emit the job's
 	// URs for immediate classification.
-	if len(canaryFails) > 0 {
-		var remaining []probeFailure
-		for i, f := range canaryFails {
-			if err := ctx.Err(); err != nil {
-				canaryFails = append(remaining, canaryFails[i:]...)
-				return out, err
-			}
-			j.issued++
-			resp, wire, class, err := c.probeQuery(ctx, j.slot, j.server, f.domain, f.qtype)
-			if err != nil {
-				f.class = class
-				remaining = append(remaining, f)
-				if j.seg != nil {
-					if jerr := j.seg.failure(sweepProtective, ns.Addr, f.domain, f.qtype, class); jerr != nil {
-						canaryFails = append(remaining, canaryFails[i+1:]...)
-						return out, jerr
-					}
-				}
-				continue
-			}
-			j.answered++
-			j.recovered++
-			if j.seg != nil {
-				if jerr := j.seg.answered(sweepProtective, ns.Addr, f.domain, f.qtype, wire); jerr != nil {
-					canaryFails = append(remaining, canaryFails[i+1:]...)
-					return out, jerr
-				}
-			}
-			addProtectiveAnswers(db, ns.Addr, f.qtype, resp)
+	var remaining []probeFailure
+	rest, err := c.retry(ctx, sweepProtective, j.seg, j.slot, canaryFails, func(f probeFailure, resp *dns.Message) {
+		j.issued++
+		if resp == nil {
+			remaining = append(remaining, f)
+			return
 		}
-		canaryFails = remaining
-	}
-	return out, nil
+		j.answered++
+		j.recovered++
+		addProtectiveAnswers(db, ns.Addr, f.qtype, resp)
+	})
+	canaryFails = append(remaining, rest...)
+	return out, err
 }
